@@ -80,7 +80,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 		{"partition-dial", dist.FaultSpec{Kind: dist.FaultPartition, Times: 1}, true},
 		{"kill-first-byte", dist.FaultSpec{Kind: dist.FaultKill, Times: 1}, false},
 		// AfterBytes thresholds count response bytes as transmitted —
-		// lz4-compressed frames since wire v2 — so they sit well under
+		// lz4-compressed frames on network workers — so they sit well under
 		// the raw output size to guarantee the fault engages mid-stream.
 		{"kill-mid-stream", dist.FaultSpec{Kind: dist.FaultKill, AfterBytes: 12_000, Times: 1}, false},
 		{"partition-mid-stream", dist.FaultSpec{Kind: dist.FaultPartition, AfterBytes: 10_000, Times: 1}, false},
@@ -112,6 +112,9 @@ func TestChaosFaultMatrix(t *testing.T) {
 				// nodes: nothing dials, so the fault cannot fire. The
 				// byte-equality check above is the whole contract here.
 				continue
+			}
+			if inj.Fired(target) == 0 {
+				t.Fatalf("%s width=%d: fault never fired on %s — recovery not exercised", tc.name, width, target)
 			}
 			switch {
 			case tc.preStream:

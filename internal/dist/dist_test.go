@@ -152,7 +152,20 @@ func TestDistributedShipsWork(t *testing.T) {
 		t.Fatalf("pool saw no traffic: %+v", pool.Stats())
 	}
 	if redis != 0 {
-		t.Fatalf("healthy pool redispatched %d chunks: %+v", redis, pool.Stats())
+		t.Fatalf("healthy pool redispatched %d nodes: %+v", redis, pool.Stats())
+	}
+	// The slow-worker detector steers by this EWMA; a worker that served
+	// frames must have a measured, nonzero service time, even from a
+	// one-chunk stream shorter than a millisecond.
+	if err := os.WriteFile(filepath.Join(dir, "tiny.txt"), []byte(makeInput(5, 2)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tiny := startWorkers(t, 2, dir)
+	runScript(t, `cat tiny.txt | tr A-Z a-z | grep the`, dir, 8, tiny)
+	for _, st := range append(pool.Stats(), tiny.Stats()...) {
+		if st.ChunksIn > 0 && st.EWMAMs <= 0 {
+			t.Errorf("worker %s served %d frames but EWMAMs = %v", st.Name, st.ChunksIn, st.EWMAMs)
+		}
 	}
 }
 

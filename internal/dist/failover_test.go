@@ -72,28 +72,42 @@ func startPoolWithKiller(t *testing.T, healthy int, dir string, afterBytes int64
 	return pash.NewWorkerPool(names...), kh
 }
 
+// deathCases drive the worker-death tests: a mixed pipeline whose
+// first dial picks which shape dies, then one script per shard shape so
+// each input-replay source is killed on purpose.
+var deathCases = []struct {
+	name     string
+	script   string
+	sharedFS bool
+}{
+	{"mixed", `cat in.txt | tr A-Z a-z | grep the | sort`, false},
+	{"mixed-shared-fs", `cat in.txt | tr A-Z a-z | grep the | sort`, true},
+	{"framed", `cat in.txt | tr A-Z a-z | grep the`, false},
+	{"range", `cat in.txt | tr A-Z a-z | grep the`, true},
+	{"streamed", `cat in.txt | sort`, false},
+}
+
 // TestWorkerDeathMidStream: a worker killed mid-pipeline does not
-// corrupt output — and because a healthy peer exists, the
-// unacknowledged window re-dispatches to the SURVIVOR, not to the
-// coordinator. Local fallback with a live peer available is a bug.
+// corrupt output — and because a healthy peer exists, the node's kept
+// input re-dispatches to the SURVIVOR, not to the coordinator. Local
+// fallback with a live peer available is a bug.
 func TestWorkerDeathMidStream(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(makeInput(30000, 7)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, sharedFS := range []bool{false, true} {
+	for _, tc := range deathCases {
+		local := runScript(t, tc.script, dir, 8, nil)
 		for _, afterBytes := range []int64{0, 1, 40_000} {
 			pool, kh := startPoolWithKiller(t, 1, dir, afterBytes)
-			pool.SetSharedFS(sharedFS)
-			script := `cat in.txt | tr A-Z a-z | grep the | sort`
-			local := runScript(t, script, dir, 8, nil)
-			got := runScript(t, script, dir, 8, pool)
-			if got != local {
-				t.Fatalf("sharedFS=%v kill@%d: output corrupted after worker death (%d vs %d bytes)",
-					sharedFS, afterBytes, len(got), len(local))
-			}
+			pool.SetSharedFS(tc.sharedFS)
+			got := runScript(t, tc.script, dir, 8, pool)
 			if !kh.killed.Load() {
-				t.Fatalf("sharedFS=%v kill@%d: killer worker never died (not exercised)", sharedFS, afterBytes)
+				t.Fatalf("%s kill@%d: killer worker never died (not exercised)", tc.name, afterBytes)
+			}
+			if got != local {
+				t.Fatalf("%s kill@%d: output corrupted after worker death (%d vs %d bytes)",
+					tc.name, afterBytes, len(got), len(local))
 			}
 			var local64, remote64 int64
 			unhealthy := 0
@@ -105,14 +119,14 @@ func TestWorkerDeathMidStream(t *testing.T) {
 				}
 			}
 			if unhealthy != 1 {
-				t.Errorf("sharedFS=%v kill@%d: %d workers down, want exactly the killed one", sharedFS, afterBytes, unhealthy)
+				t.Errorf("%s kill@%d: %d workers down, want exactly the killed one", tc.name, afterBytes, unhealthy)
 			}
 			if remote64 == 0 {
-				t.Errorf("sharedFS=%v kill@%d: no work re-dispatched to the surviving worker", sharedFS, afterBytes)
+				t.Errorf("%s kill@%d: no work re-dispatched to the surviving worker", tc.name, afterBytes)
 			}
 			if local64 != 0 {
-				t.Errorf("sharedFS=%v kill@%d: %d chunks ran on the coordinator while a healthy peer existed",
-					sharedFS, afterBytes, local64)
+				t.Errorf("%s kill@%d: %d nodes ran on the coordinator while a healthy peer existed",
+					tc.name, afterBytes, local64)
 			}
 		}
 	}
@@ -126,25 +140,24 @@ func TestWorkerDeathNoSurvivor(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(makeInput(20000, 11)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, sharedFS := range []bool{false, true} {
+	for _, tc := range deathCases {
 		pool, kh := startPoolWithKiller(t, 0, dir, 1)
-		pool.SetSharedFS(sharedFS)
-		script := `cat in.txt | tr A-Z a-z | grep the | sort`
-		local := runScript(t, script, dir, 8, nil)
-		got := runScript(t, script, dir, 8, pool)
-		if got != local {
-			t.Fatalf("sharedFS=%v: output corrupted after sole worker death (%d vs %d bytes)",
-				sharedFS, len(got), len(local))
-		}
+		pool.SetSharedFS(tc.sharedFS)
+		local := runScript(t, tc.script, dir, 8, nil)
+		got := runScript(t, tc.script, dir, 8, pool)
 		if !kh.killed.Load() {
-			t.Fatalf("sharedFS=%v: killer worker never died (not exercised)", sharedFS)
+			t.Fatalf("%s: killer worker never died (not exercised)", tc.name)
+		}
+		if got != local {
+			t.Fatalf("%s: output corrupted after sole worker death (%d vs %d bytes)",
+				tc.name, len(got), len(local))
 		}
 		var local64 int64
 		for _, st := range pool.Stats() {
 			local64 += st.Redispatched
 		}
 		if local64 == 0 {
-			t.Errorf("sharedFS=%v: no local re-dispatch recorded with an empty survivor set", sharedFS)
+			t.Errorf("%s: no local re-dispatch recorded with an empty survivor set", tc.name)
 		}
 	}
 }

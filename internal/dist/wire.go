@@ -12,11 +12,10 @@
 // payload length followed by a 4-byte big-endian CRC-32C (Castagnoli)
 // of the payload — and then the payload:
 //
-//	frame 0:  wire v1: the JSON-encoded dfg.RemoteSpec (the plan)
-//	          wire v2: the JSON handshake {"pash_wire":2, "features",
-//	          "key", "env", "plan"} carrying the plan, the coordinator's
-//	          plan fingerprint (the worker plan-cache key), the request
-//	          environment, and the negotiated frame features
+//	frame 0:  the JSON handshake {"pash_wire":2, "features", "key",
+//	          "env", "plan"} carrying the plan, the coordinator's plan
+//	          fingerprint (the worker plan-cache key), the request
+//	          environment, and the requested frame features
 //	frame 1…: input chunks (zero-length frames are legal and meaningful
 //	          — rotation tokens for framed plans, end-of-stream
 //	          separators for streamed plans)
@@ -26,25 +25,20 @@
 // frame per input frame, in order — frame k of the response
 // acknowledges frame k of the request, which is what makes bounded
 // re-dispatch buffers possible. For file-range plans the request
-// carries only the plan frame and the response frames carry the
+// carries only the handshake and the response frames carry the
 // transformed range in order. For streamed (contiguous-stream) plans
 // the request carries each input stream's chunks in input order, a
 // zero-length separator frame ending each stream, and the response is
 // the node's single output stream. The exit status and any execution
 // error arrive in HTTP trailers (X-Pash-Exit-Code, X-Pash-Error).
 //
-// # Negotiation
+// # Handshake
 //
-// Version negotiation is downgrade-by-rejection: the coordinator
-// opens with a v2 handshake; a worker that predates it fails to find
-// stages in frame 0 and answers 400 before reading any input frame, so
-// the coordinator retries the same worker with a v1 plan frame and
-// pins the worker's wire version for future dispatches (a worker's
-// /healthz X-Pash-Wire header seeds the same cache via probes). A v2
-// worker answers 200 with X-Pash-Wire: 2 and echoes the accepted
-// features in X-Pash-Features. Compressed frames therefore only ever
-// follow an accepted v2 handshake — an old worker can never
-// misinterpret one.
+// Coordinator and worker ship as one binary, so there is one wire
+// version and no negotiation of it: a worker answers 400, before the
+// response commits, to any frame 0 that is not a version-2 handshake
+// or that asks for an unknown feature. It echoes the accepted features
+// in X-Pash-Features and its plan-cache verdict in X-Pash-Plan-Cache.
 //
 // # Compression
 //
@@ -63,8 +57,8 @@
 // The checksum is what makes the no-corruption guarantee hold against
 // a misbehaving transport, not just a dead one: a frame that arrives
 // bit-flipped fails its CRC and surfaces as ErrCorruptFrame — a fatal
-// stream error that triggers re-dispatch of the unacknowledged window
-// — instead of flowing downstream as silently wrong bytes. A stream
+// stream error that re-sends the node's kept input to a survivor —
+// instead of flowing downstream as silently wrong bytes. A stream
 // that ends inside a frame surfaces as ErrTruncatedFrame, never as a
 // clean EOF, so partial output cannot be mistaken for stream end.
 package dist
@@ -157,13 +151,8 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// Wire protocol versions. v1 is the original plan-frame handshake; v2
-// adds the JSON handshake frame (plan cache key, env, feature list)
-// and, under the lz4 feature, tagged data-frame payloads.
-const (
-	wireV1 = 1
-	wireV2 = 2
-)
+// wireVersion is the pash_wire value every handshake carries.
+const wireVersion = 2
 
 // featureLZ4 names the tagged lz4 frame encoding in handshake feature
 // lists and the X-Pash-Features header.
@@ -175,7 +164,7 @@ const (
 	tagLZ4 = 0x01
 )
 
-// wireHandshake is frame 0 of a v2 /exec request. Plan is the
+// wireHandshake is frame 0 of an /exec request. Plan is the
 // env-free dfg.RemoteSpec; Env rides separately so workers can cache
 // the decoded plan across requests with different environments. Key is
 // the coordinator's plan fingerprint (empty disables worker caching).
@@ -187,15 +176,17 @@ type wireHandshake struct {
 	Plan     json.RawMessage   `json:"plan,omitempty"`
 }
 
-// decodeHandshake recognizes a v2 handshake frame. A v1 plan frame (a
-// bare RemoteSpec) never carries pash_wire, so the two frame-0 forms
-// are unambiguous.
-func decodeHandshake(frame []byte) (*wireHandshake, bool) {
+// decodeHandshake parses frame 0 of an /exec request, rejecting
+// anything but a version-2 handshake.
+func decodeHandshake(frame []byte) (*wireHandshake, error) {
 	var hs wireHandshake
-	if err := json.Unmarshal(frame, &hs); err != nil || hs.Wire < wireV2 {
-		return nil, false
+	if err := json.Unmarshal(frame, &hs); err != nil {
+		return nil, fmt.Errorf("dist: bad handshake: %w", err)
 	}
-	return &hs, true
+	if hs.Wire != wireVersion {
+		return nil, fmt.Errorf("dist: handshake wire version %d, want %d", hs.Wire, wireVersion)
+	}
+	return &hs, nil
 }
 
 func (hs *wireHandshake) hasFeature(name string) bool {

@@ -25,11 +25,6 @@ type Worker struct {
 	dir   string
 	start time.Time
 	plans *planCache
-	// legacy pins the worker to wire v1: handshake frames are fed to
-	// the plan decoder and rejected exactly as a pre-v2 build would,
-	// /healthz advertises no version. Used by version-skew tests and as
-	// an operational escape hatch.
-	legacy bool
 
 	requests     atomic.Int64
 	active       atomic.Int64
@@ -54,11 +49,6 @@ func NewWorker(reg *commands.Registry, dir string) *Worker {
 	return &Worker{reg: reg, dir: dir, start: time.Now(), plans: newPlanCache()}
 }
 
-// SetLegacyWire pins the worker to wire v1 (no handshake, no
-// compression, no plan cache), emulating a pre-v2 build for
-// version-skew tests and mixed-fleet rollouts.
-func (w *Worker) SetLegacyWire(on bool) { w.legacy = on }
-
 // Handler returns the worker's HTTP handler: POST /exec runs one
 // remote plan over the framed wire protocol; GET /healthz and
 // GET /metrics serve liveness and counters.
@@ -66,9 +56,6 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/exec", w.handleExec)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		if !w.legacy {
-			rw.Header().Set("X-Pash-Wire", fmt.Sprintf("%d", wireV2))
-		}
 		fmt.Fprintln(rw, "ok")
 	})
 	mux.HandleFunc("/metrics", w.handleMetrics)
@@ -84,64 +71,51 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	w.active.Add(1)
 	defer w.active.Add(-1)
 
-	// Frame 0 is the plan (v1) or the handshake (v2); reject it before
-	// the response commits. A legacy worker never recognizes the
-	// handshake form — the resulting 400 is the downgrade signal.
-	planFrame, err := readFrame(r.Body)
-	if err != nil {
+	// Frame 0 must be the handshake; anything else is rejected before
+	// the response commits.
+	reject := func(err error) {
 		w.failures.Add(1)
-		http.Error(rw, fmt.Sprintf("reading plan: %v", err), http.StatusBadRequest)
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+	}
+	frame, err := readFrame(r.Body)
+	if err != nil {
+		reject(fmt.Errorf("reading handshake: %w", err))
 		return
+	}
+	hs, err := decodeHandshake(frame)
+	commands.PutBlock(frame)
+	if err != nil {
+		reject(err)
+		return
+	}
+	for _, f := range hs.Features {
+		if f != featureLZ4 {
+			reject(fmt.Errorf("unsupported wire feature %q", f))
+			return
+		}
 	}
 	var (
 		spec      *dfg.RemoteSpec
 		chain     *runtime.StageChain
-		env       map[string]string
-		lz4On     bool
-		v2        bool
-		cacheNote string
+		cacheNote = "hit"
 	)
-	if hs, ok := decodeHandshake(planFrame); ok && !w.legacy {
-		commands.PutBlock(planFrame)
-		v2 = true
-		for _, f := range hs.Features {
-			if f != featureLZ4 {
-				w.failures.Add(1)
-				http.Error(rw, fmt.Sprintf("unsupported wire feature %q", f), http.StatusBadRequest)
-				return
-			}
-		}
-		lz4On = hs.hasFeature(featureLZ4)
-		env = hs.Env
-		gen := w.reg.Generation()
-		if ent := w.plans.get(hs.Key, gen); ent != nil {
-			spec, chain = ent.spec, ent.chain
-			w.planHits.Add(1)
-			cacheNote = "hit"
-		} else {
-			spec, chain, err = w.decodePlan([]byte(hs.Plan))
-			if err != nil {
-				w.failures.Add(1)
-				http.Error(rw, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.planMisses.Add(1)
-			cacheNote = "miss"
-			w.plans.put(hs.Key, gen, spec, chain)
-		}
+	gen := w.reg.Generation()
+	if ent := w.plans.get(hs.Key, gen); ent != nil {
+		spec, chain = ent.spec, ent.chain
+		w.planHits.Add(1)
 	} else {
-		spec, chain, err = w.decodePlan(planFrame)
-		commands.PutBlock(planFrame)
-		if err != nil {
-			w.failures.Add(1)
-			http.Error(rw, err.Error(), http.StatusBadRequest)
+		if spec, chain, err = w.decodePlan([]byte(hs.Plan)); err != nil {
+			reject(err)
 			return
 		}
-		env = spec.Env
+		w.planMisses.Add(1)
+		cacheNote = "miss"
+		w.plans.put(hs.Key, gen, spec, chain)
 	}
 	if chain != nil {
-		chain = chain.WithEnv(env)
+		chain = chain.WithEnv(hs.Env)
 	}
+	lz4On := hs.hasFeature(featureLZ4)
 
 	// The worker streams output frames while still reading input
 	// frames: full duplex, which HTTP/1 handlers must opt into.
@@ -149,13 +123,10 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	flusher, _ := rw.(http.Flusher)
 	rw.Header().Set("Trailer", "X-Pash-Exit-Code, X-Pash-Error")
 	rw.Header().Set("Content-Type", "application/x-pash-frames")
-	if v2 {
-		rw.Header().Set("X-Pash-Wire", fmt.Sprintf("%d", wireV2))
-		if lz4On {
-			rw.Header().Set("X-Pash-Features", featureLZ4)
-		}
-		rw.Header().Set("X-Pash-Plan-Cache", cacheNote)
+	if lz4On {
+		rw.Header().Set("X-Pash-Features", featureLZ4)
 	}
+	rw.Header().Set("X-Pash-Plan-Cache", cacheNote)
 	rw.WriteHeader(http.StatusOK)
 	if flusher != nil {
 		// Commit the response as chunked now: trailers only travel on
@@ -173,7 +144,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		case spec.Path != "":
 			return w.execRange(rw, flusher, chain, spec, comp)
 		case spec.Streamed:
-			return w.execStreamed(r.Context(), rw, flusher, chain, spec, env, r.Body, lz4On, comp)
+			return w.execStreamed(r.Context(), rw, flusher, chain, spec, hs.Env, r.Body, lz4On, comp)
 		default:
 			return w.execFramed(rw, flusher, chain, r.Body, lz4On, comp)
 		}

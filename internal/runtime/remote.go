@@ -25,8 +25,9 @@ import (
 // calls it once per KindRemote node; implementations must preserve the
 // node's stream contract (framed: exactly one output chunk per input
 // chunk; file-range: the slice's transformed bytes in order) even when
-// a worker dies mid-stream — internal/dist does so by re-dispatching
-// unacknowledged chunks through ExecRemoteLocal.
+// a worker dies mid-stream — internal/dist does so by replaying the
+// node's kept input to a surviving worker, or through ExecRemoteLocal
+// when none is left.
 type RemoteExecutor interface {
 	ExecRemote(ctx context.Context, req *RemoteRequest) error
 }

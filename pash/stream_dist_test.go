@@ -46,14 +46,17 @@ func TestStreamDistWorkerKillMidStream(t *testing.T) {
 	}
 	script := "tr a-z A-Z | grep ZEBRA"
 
+	// The fault targets w1; the target is fixed before the run because
+	// the pool's eligible set drops a killed worker.
+	target := w1
+	inj := dist.NewInjector(1)
 	streamOnce := func(spec *dist.FaultSpec) (string, []dist.WorkerStats) {
 		pool := NewWorkerPool(w1, w2)
 		pool.SetDialTimeout(500 * time.Millisecond)
 		pool.SetChunkTimeout(500 * time.Millisecond)
 		pool.SetRetryPolicy(3, 10*time.Millisecond, 100*time.Millisecond)
 		if spec != nil {
-			inj := dist.NewInjector(1)
-			inj.Set(pool.WorkerNames()[0], *spec)
+			inj.Set(target, *spec)
 			pool.SetFaultInjector(inj)
 		}
 		sess := NewSession(DefaultOptions(8))
@@ -90,6 +93,9 @@ func TestStreamDistWorkerKillMidStream(t *testing.T) {
 	if faulted != clean {
 		t.Fatalf("output diverged under worker kill (%d vs %d bytes) — corruption or loss",
 			len(faulted), len(clean))
+	}
+	if inj.Fired(target) == 0 {
+		t.Fatal("kill fault never fired — recovery not exercised")
 	}
 	var healed int64
 	for _, st := range stats {
